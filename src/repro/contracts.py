@@ -1,12 +1,11 @@
-"""Purity contracts checked by the whole-program analyzer.
+"""Purity contracts for hot kernels, verified statically by ``repro lint``.
 
 :func:`pure` is the only runtime artifact of the purity pass: a marker
 decorator with **zero call overhead** (it tags the function object and
 returns it unchanged), importable from hot modules without dragging any
 analyzer machinery along -- this module deliberately imports nothing.
 
-The contract a ``@pure`` function promises, verified statically by
-``repro flow`` (``RPL120-123``):
+The contract a ``@pure`` function promises (``RPL120-123``):
 
 - no writes to globals, closures, ``self``, or any argument -- the only
   mutable state it touches is what it allocates itself;

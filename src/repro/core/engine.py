@@ -43,7 +43,7 @@ from typing import Callable, Iterator, List, Mapping, Optional, Set
 
 import numpy as np
 
-from repro.devtools.flow import pure
+from repro.contracts import pure
 from repro.obs.metrics import get_registry
 from repro.stats.sampling import AliasSampler, HeadTailSampler
 

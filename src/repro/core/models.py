@@ -32,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.contracts import pure
 from repro.core.engine import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_MEMORY_BUDGET,
@@ -45,7 +46,6 @@ from repro.core.engine import (
     zipf_amo_event_batches,
     zipf_event_batches,
 )
-from repro.devtools.flow import pure
 from repro.stats.rng import SeedLike, make_rng
 from repro.stats.sampling import AliasSampler, HeadTailSampler
 from repro.stats.zipf import zipf_weights

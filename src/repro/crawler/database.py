@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,10 +117,6 @@ class SnapshotColumns:
     @property
     def app_ids(self) -> np.ndarray:
         return self._chunk.app_ids()
-
-    @property
-    def name_tables(self) -> Tuple[str, ...]:
-        return self._store.names.values()
 
     @property
     def category_names(self) -> Tuple[str, ...]:

@@ -1,41 +1,42 @@
-"""Determinism & vectorization linter (``repro lint`` / ``make lint``).
+"""Determinism & dataflow analyzer (``repro lint`` / ``make lint``).
 
-A small compiler-grade pass over the repository's own conventions:
+One front end over one parse: :class:`Program` loads every file once,
+the per-module rules (``RPL0xx``: RNG discipline, nondeterministic
+seeds, set order, vectorization of hot modules, API hygiene, the
+service's virtual clock) run over each parsed module, and three
+whole-program passes (``RPL1xx``: RNG provenance, process-boundary
+escape, :func:`repro.contracts.pure` contracts) run over the linked
+program.
 
-- every stochastic path is replayable from a single seed (RNG
-  discipline, ``RPL001-004``);
-- nothing nondeterministic -- wall clocks, randomized hashes, set
-  iteration order -- can reach seeds or samplers (``RPL010-011``);
-- the modules the batched engine declares hot stay vectorized
-  (``RPL020-021``);
-- API hygiene: mutable defaults, float equality, ``__all__`` drift
-  (``RPL030-032``).
-
-Public API: :func:`lint_source` / :func:`lint_paths` for programmatic
-use, :data:`RULES` for the shipped pack, :class:`Finding` for results,
-and :func:`main` for the command line.  Findings on a line are
-suppressed with ``# repro: noqa=RPL0xx -- justification``.
+Public API: :func:`lint_source` (per-module rules on one string) and
+:func:`analyze_paths` (everything over a tree) for programmatic use,
+:data:`RULES` for the per-module pack, :class:`Finding` for results, and
+:func:`main` for the command line.  Findings on a line are suppressed
+with ``# repro: noqa=RPLxxx -- justification``.
 """
 
 from __future__ import annotations
 
-from repro.devtools.lint.cli import add_lint_parser, main, run_lint
-from repro.devtools.lint.engine import (
-    ModuleInfo,
-    Rule,
-    lint_paths,
+from repro.devtools.lint.cli import (
+    add_lint_parser,
+    analyze_paths,
     lint_source,
+    main,
+    run_lint,
 )
+from repro.devtools.lint.engine import ModuleInfo, Rule
 from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.program import Program
 from repro.devtools.lint.rules import RULES
 
 __all__ = [
     "Finding",
     "ModuleInfo",
+    "Program",
     "RULES",
     "Rule",
     "add_lint_parser",
-    "lint_paths",
+    "analyze_paths",
     "lint_source",
     "main",
     "run_lint",

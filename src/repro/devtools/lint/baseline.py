@@ -1,4 +1,4 @@
-"""Committed-baseline mode for the flow analyzer.
+"""Committed-baseline mode for ``repro lint``.
 
 A baseline is a checked-in JSON inventory of known findings.  CI runs
 the analyzer against it and fails only on findings *not* in the

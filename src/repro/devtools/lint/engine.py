@@ -1,11 +1,11 @@
-"""Visitor engine of the determinism & vectorization linter.
+"""Per-module layer of the analyzer: module facts, rules, suppressions.
 
-The engine parses each file once, precomputes the module facts every
-rule needs (import aliases, parent links, per-scope name bindings, and
-``# repro: noqa`` suppressions), then runs each registered rule as an
-:mod:`ast` visitor over the tree.  Rules stay tiny: they pattern-match
-nodes and call :meth:`Rule.report`; everything positional or contextual
-lives here.
+:class:`~repro.devtools.lint.program.Program` parses each file once;
+this module precomputes the facts every rule needs (import aliases,
+parent links, per-scope name bindings, and ``# repro: noqa``
+suppressions), then runs each registered rule as an :mod:`ast` visitor
+over the tree.  Rules stay tiny: they pattern-match nodes and call
+:meth:`Rule.report`; everything positional or contextual lives here.
 
 Suppression syntax, checked per finding line::
 
@@ -18,7 +18,9 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+)
 
 from repro.devtools.lint.findings import Finding
 
@@ -83,6 +85,8 @@ class ModuleInfo:
     path:
         The file's path as given to the engine (kept verbatim so findings
         are reported against what the user typed).
+    name:
+        The dotted module name the :class:`Program` loaded it under.
     tree:
         The parsed module AST, with parent links available through
         :meth:`parent` / :meth:`ancestors`.
@@ -90,33 +94,47 @@ class ModuleInfo:
         Local names bound to the ``numpy`` and ``numpy.random`` modules.
     imported_names:
         Local name -> fully dotted origin for ``from x import y`` names.
+    module_aliases:
+        Local name -> dotted module for ``import x.y as z`` statements.
+    nodes:
+        Every node of the tree, in ``ast.walk`` order.
     """
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(
+        self, path: str, source: str, tree: ast.Module, name: str
+    ) -> None:
         self.path = path
+        self.name = name
         self.source = source
         self.tree = tree
         self.noqa = parse_noqa_directives(source)
         self._parents: Dict[int, ast.AST] = {}
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
+        self._children: Dict[int, List[ast.AST]] = {}
+        # Breadth-first, growing the list as it goes: ast.walk's order.
+        self.nodes: List[ast.AST] = [tree]
+        for parent in self.nodes:
+            children = list(ast.iter_child_nodes(parent))
+            self._children[id(parent)] = children
+            for child in children:
                 self._parents[id(child)] = parent
+            self.nodes.extend(children)
         self.numpy_aliases: Set[str] = set()
         self.numpy_random_aliases: Set[str] = set()
         self.imported_names: Dict[str, str] = {}
+        self.module_aliases: Dict[str, str] = {}
         self._collect_imports()
+        #: Per-scope name classifications, filled on first lookup.
         self._bindings: Dict[int, Dict[str, str]] = {}
-        for scope in ast.walk(tree):
-            if isinstance(scope, _SCOPE_NODES):
-                self._bindings[id(scope)] = self._collect_bindings(scope)
 
     # -- import table ---------------------------------------------------
 
     def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
+                    if alias.asname is not None:
+                        self.module_aliases[bound] = alias.name
                     if alias.name == "numpy":
                         self.numpy_aliases.add(bound)
                     elif alias.name == "numpy.random" and alias.asname:
@@ -160,21 +178,16 @@ class ModuleInfo:
         """The node's syntactic parent (``None`` for the module)."""
         return self._parents.get(id(node))
 
+    def children(self, node: ast.AST) -> List[ast.AST]:
+        """The node's direct children, in ``ast.iter_child_nodes`` order."""
+        return self._children[id(node)]
+
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         """The node's ancestors, innermost first."""
         current = self.parent(node)
         while current is not None:
             yield current
             current = self.parent(current)
-
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> Optional[ast.FunctionDef]:
-        """The innermost function the node sits in, if any."""
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
 
     def enclosing_scope(self, node: ast.AST) -> ast.AST:
         """The innermost binding scope (function, lambda, or module)."""
@@ -273,12 +286,13 @@ class ModuleInfo:
                 kind = self._classify_annotation(arg.annotation)
                 if kind is not None:
                     record(arg.arg, kind)
-        for node in ast.walk(scope):
-            if node is not scope and isinstance(node, _SCOPE_NODES):
+        stack = list(self.children(scope))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _SCOPE_NODES):
                 # Nested scopes keep their own tables.
                 continue
-            if self.enclosing_scope(node) is not scope:
-                continue
+            stack.extend(self.children(node))
             if isinstance(node, ast.Assign):
                 kind = self._classify_value(node.value)
                 for target in node.targets:
@@ -301,7 +315,9 @@ class ModuleInfo:
             return None
         scope: Optional[ast.AST] = self.enclosing_scope(node)
         while scope is not None:
-            kind = self._bindings.get(id(scope), {}).get(node.id)
+            if id(scope) not in self._bindings:
+                self._bindings[id(scope)] = self._collect_bindings(scope)
+            kind = self._bindings[id(scope)].get(node.id)
             if kind is not None:
                 return kind
             scope = None if isinstance(scope, ast.Module) else self.parent(scope)
@@ -332,6 +348,7 @@ class Rule(ast.NodeVisitor):
     def __init__(self, module: ModuleInfo) -> None:
         self.module = module
         self.findings: List[Finding] = []
+        self._visitors: Dict[type, Callable[[ast.AST], None]] = {}
 
     def report(self, node: ast.AST, message: str) -> None:
         """Record one violation at a node's location."""
@@ -350,6 +367,25 @@ class Rule(ast.NodeVisitor):
         self.visit(self.module.tree)
         return self.findings
 
+    # Every rule walks every module, so the traversal caches the method
+    # lookup per node type and reuses the child lists ModuleInfo already
+    # built; the visiting order is ast.NodeVisitor's.
+    def visit(self, node: ast.AST) -> None:
+        visitor = self._visitors.get(node.__class__)
+        if visitor is None:
+            visitor = getattr(
+                self, "visit_" + node.__class__.__name__, self.generic_visit
+            )
+            self._visitors[node.__class__] = visitor
+        visitor(node)
+
+    def generic_visit(self, node: ast.AST) -> None:
+        for child in self.module.children(node):
+            self.visit(child)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        """Leaf node; skips NodeVisitor's deprecated-alias lookups."""
+
 
 def _apply_noqa(
     findings: Iterable[Finding], noqa: Dict[int, Optional[Set[str]]]
@@ -364,35 +400,6 @@ def _apply_noqa(
     return kept
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Type[Rule]]] = None,
-) -> List[Finding]:
-    """Lint one source string; returns sorted, noqa-filtered findings."""
-    if rules is None:
-        from repro.devtools.lint.rules import RULES
-
-        rules = RULES
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as error:
-        return [
-            Finding(
-                code="RPL000",
-                message=f"syntax error: {error.msg}",
-                path=path,
-                line=error.lineno or 1,
-                col=(error.offset or 1) - 1,
-            )
-        ]
-    module = ModuleInfo(path=path, source=source, tree=tree)
-    findings: List[Finding] = []
-    for rule_class in rules:
-        findings.extend(rule_class(module).run())
-    return sorted(_apply_noqa(findings, module.noqa), key=Finding.sort_key)
-
-
 def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
     """Expand files and directories into a sorted stream of ``.py`` files."""
     for raw in paths:
@@ -401,14 +408,3 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             yield from sorted(path.rglob("*.py"))
         else:
             yield path
-
-
-def lint_paths(
-    paths: Sequence[str], rules: Optional[Sequence[Type[Rule]]] = None
-) -> List[Finding]:
-    """Lint every ``.py`` file under the given files/directories."""
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, path=str(file_path), rules=rules))
-    return sorted(findings, key=Finding.sort_key)

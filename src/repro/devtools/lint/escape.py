@@ -21,7 +21,7 @@ flagged:
 ``SeedSequence`` is deliberately *not* a forbidden origin: seeds and
 their spawned children are the sanctioned cross-process currency.
 Unresolvable expressions stop the walk silently -- precision over
-recall, as everywhere in the flow analyzer.
+recall, as everywhere in the whole-program passes.
 """
 
 from __future__ import annotations
@@ -29,16 +29,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.devtools.lint.engine import ModuleInfo
 from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.program import FunctionInfo, Program
 from repro.devtools.lint.rules import GeneratorAcrossProcessRule
-from repro.devtools.flow.program import (
-    FunctionInfo,
-    Program,
-    walk_function_body,
-)
 
 _DISPATCH_METHODS = GeneratorAcrossProcessRule._DISPATCH_METHODS
 
@@ -107,6 +103,42 @@ class _Dispatch:
 class EscapePass:
     """Run the escape analysis over a loaded :class:`Program`."""
 
+    rules = (
+        {
+            "code": "RPL110",
+            "name": "generator-escapes-to-worker",
+            "summary": (
+                "np.random.Generator reachable from a process-pool dispatch "
+                "payload; pickling duplicates the stream in the worker"
+            ),
+        },
+        {
+            "code": "RPL111",
+            "name": "mmap-escapes-to-worker",
+            "summary": (
+                "mmap-backed store handle or array reachable from a "
+                "process-pool dispatch payload; mappings cannot cross "
+                "processes"
+            ),
+        },
+        {
+            "code": "RPL112",
+            "name": "file-handle-escapes-to-worker",
+            "summary": (
+                "open file handle reachable from a process-pool dispatch "
+                "payload; pass the path and open in the worker"
+            ),
+        },
+        {
+            "code": "RPL113",
+            "name": "metrics-registry-escapes-to-worker",
+            "summary": (
+                "MetricsRegistry reachable from a process-pool dispatch "
+                "payload; workers keep private registries merged after join"
+            ),
+        },
+    )
+
     def __init__(self, program: Program) -> None:
         self.program = program
         self.findings: List[Finding] = []
@@ -114,7 +146,7 @@ class EscapePass:
 
     def run(self) -> List[Finding]:
         for module in self.program.modules.values():
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if isinstance(node, ast.Call):
                     method = self._dispatch_method(module, node)
                     if method is not None:
@@ -153,9 +185,9 @@ class EscapePass:
     ) -> Set[str]:
         """Names bound to executor constructions in the relevant scope."""
         if info is not None:
-            nodes: Iterator[ast.AST] = walk_function_body(info.node)
+            nodes: Iterable[ast.AST] = info.body_nodes
         else:
-            nodes = ast.walk(module.tree)
+            nodes = module.nodes
         names: Set[str] = set()
         for node in nodes:
             if isinstance(node, ast.withitem):
@@ -250,7 +282,7 @@ class EscapePass:
             referenced = self.program.canonicalize(
                 self.program.resolve(item.module, item.node)
             )
-            local = f"{self.program.module_name(item.module)}.{name}"
+            local = f"{item.module.name}.{name}"
             for candidate in (referenced, local):
                 if (
                     candidate in self.program.functions
@@ -280,9 +312,9 @@ class EscapePass:
     def _local_bindings(self, item: _Item, name: str) -> List[_Item]:
         """Everything assigned or appended to ``name`` in the scope."""
         if item.info is not None:
-            nodes: Iterator[ast.AST] = walk_function_body(item.info.node)
+            nodes: Iterable[ast.AST] = item.info.body_nodes
         else:
-            nodes = iter(item.module.tree.body)
+            nodes = item.module.tree.body
         children: List[_Item] = []
         for node in nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -359,14 +391,14 @@ class EscapePass:
             and item.info is not None
             and item.info.class_name is not None
         ):
-            mod_name = self.program.module_name(item.module)
+            mod_name = item.module.name
             cls_info = self.program.classes.get(
                 f"{mod_name}.{item.info.class_name}"
             )
             children: List[_Item] = []
             if cls_info is not None:
                 for method in cls_info.methods.values():
-                    for stmt in walk_function_body(method.node):
+                    for stmt in method.body_nodes:
                         if not isinstance(stmt, ast.Assign):
                             continue
                         for target in stmt.targets:
@@ -464,8 +496,3 @@ class EscapePass:
                 col=dispatch.root.col_offset,
             )
         )
-
-
-def run_escape(program: Program) -> List[Finding]:
-    """Convenience wrapper used by the CLI."""
-    return EscapePass(program).run()

@@ -1,13 +1,15 @@
-"""Whole-program model behind the flow passes.
+"""Whole-program model: the analyzer's single parse of a source tree.
 
-Where the lint engine sees one file at a time, :class:`Program` parses a
-whole tree once and links it: dotted module names recovered from the
-package layout, a symbol table of every module-level function and class,
-re-export canonicalization (``repro.store.open_store`` resolves to its
-definition in ``repro.store.disk``), a call-site index (who calls whom,
-and from where), and best-effort binding of call arguments to callee
-parameters.  The three dataflow passes are clients of this model; none
-of them re-parse or re-resolve anything.
+:class:`Program` parses every file once -- this is the only place the
+analyzer calls :func:`ast.parse` -- and links the result: dotted module
+names recovered from the package layout, a symbol table of every
+module-level function and class, re-export canonicalization
+(``repro.store.open_store`` resolves to its definition in
+``repro.store.disk``), a call-site index (who calls whom, and from
+where), and best-effort binding of call arguments to callee parameters.
+The per-module rules run over :attr:`Program.modules`; the three
+whole-program passes are clients of the linked model, and none of them
+re-parse or re-resolve anything.
 
 Resolution is deliberately *precise over complete*: a name the model
 cannot follow resolves to ``None`` and the passes treat it as opaque
@@ -18,9 +20,11 @@ an analyzer people must keep at zero findings.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.devtools.lint.engine import ModuleInfo, iter_python_files
 from repro.devtools.lint.findings import Finding
@@ -51,19 +55,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(reversed(parts))
 
 
-def walk_function_body(func: FunctionNode) -> Iterator[ast.AST]:
-    """Yield the nodes of a function's own body, skipping nested defs."""
-    stack: List[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 @dataclass
 class FunctionInfo:
     """One module-level function or method, linked to its module."""
@@ -73,12 +64,12 @@ class FunctionInfo:
     node: FunctionNode
     class_name: Optional[str] = None
 
-    @property
+    @cached_property
     def positional_params(self) -> List[str]:
         args = self.node.args
         return [p.arg for p in list(args.posonlyargs) + list(args.args)]
 
-    @property
+    @cached_property
     def param_names(self) -> Set[str]:
         args = self.node.args
         names = set(self.positional_params)
@@ -89,11 +80,26 @@ class FunctionInfo:
             names.add(args.kwarg.arg)
         return names
 
+    @cached_property
+    def body_nodes(self) -> List[ast.AST]:
+        """The nodes of the function's own body, skipping nested defs."""
+        nodes: List[ast.AST] = []
+        stack: List[ast.AST] = list(self.node.body)
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if not isinstance(
+                node,
+                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
+            ):
+                stack.extend(self.module.children(node))
+        return nodes
+
     def return_expressions(self) -> List[ast.AST]:
         """Value expressions of this function's own ``return`` statements."""
         return [
             node.value
-            for node in walk_function_body(self.node)
+            for node in self.body_nodes
             if isinstance(node, ast.Return) and node.value is not None
         ]
 
@@ -126,11 +132,9 @@ class Program:
         self.classes: Dict[str, ClassInfo] = {}
         #: callee qualname -> every resolved call site targeting it.
         self.callers: Dict[str, List[CallSite]] = {}
-        #: Parse failures, reported as RPL100 findings by the CLI.
+        #: Parse failures, one RPL000 finding per unparsable file.
         self.errors: List[Finding] = []
-        self._names_by_module: Dict[int, str] = {}
         self._info_by_node: Dict[int, FunctionInfo] = {}
-        self._import_aliases: Dict[int, Dict[str, str]] = {}
         self._callees_cache: Dict[str, Set[str]] = {}
 
     # -- construction ----------------------------------------------------
@@ -138,45 +142,54 @@ class Program:
     @classmethod
     def load(cls, paths: Sequence[str]) -> "Program":
         """Parse every ``.py`` file under the given files/directories."""
+        return cls.from_sources(
+            (str(file_path), file_path.read_text(encoding="utf-8"))
+            for file_path in iter_python_files(paths)
+        )
+
+    @classmethod
+    def from_sources(cls, sources: Iterable[Tuple[str, str]]) -> "Program":
+        """Parse ``(path, source)`` pairs; each file is loaded once.
+
+        Files are taken in path order, so the result does not depend on
+        the order paths were given in.  Two files that recover the same
+        dotted name (say ``a/util.py`` and ``b/util.py``, outside any
+        package) are both kept, each named after its path instead.
+        """
         program = cls()
-        for file_path in iter_python_files(paths):
-            source = file_path.read_text(encoding="utf-8")
+        files: Dict[Path, Tuple[str, str]] = {}
+        for path, source in sorted(sources):
+            files.setdefault(Path(path).resolve(), (path, source))
+        names = {path: module_name_for(Path(path)) for path, _ in files.values()}
+        claims = Counter(names.values())
+        for path, source in files.values():
+            name = names[path]
+            if claims[name] > 1:
+                stem = Path(path).with_suffix("")
+                parts = stem.parts[1:] if stem.is_absolute() else stem.parts
+                name = ".".join(parts)
             try:
                 tree = ast.parse(source)
             except SyntaxError as error:
                 program.errors.append(
                     Finding(
-                        code="RPL100",
-                        message=f"file could not be parsed: {error.msg}",
-                        path=str(file_path),
+                        code="RPL000",
+                        message=f"syntax error: {error.msg}",
+                        path=path,
                         line=error.lineno or 1,
                         col=(error.offset or 1) - 1,
                     )
                 )
                 continue
-            module = ModuleInfo(path=str(file_path), source=source, tree=tree)
-            name = module_name_for(file_path)
-            program.modules[name] = module
-            program._names_by_module[id(module)] = name
-            program._import_aliases[id(module)] = cls._collect_plain_imports(tree)
+            program.modules[name] = ModuleInfo(path, source, tree, name)
         program._index_definitions()
         program._index_call_sites()
         return program
 
-    @staticmethod
-    def _collect_plain_imports(tree: ast.Module) -> Dict[str, str]:
-        """Bound name -> dotted module for ``import x.y as z`` statements.
-
-        ``ModuleInfo`` only tracks numpy this way; the program model needs
-        the general table to resolve e.g. ``import concurrent.futures``.
-        """
-        aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname is not None:
-                        aliases[alias.asname] = alias.name
-        return aliases
+    @property
+    def files_checked(self) -> int:
+        """Files loaded, counting the ones that failed to parse."""
+        return len(self.modules) + len(self.errors)
 
     def _index_definitions(self) -> None:
         for mod_name, module in self.modules.items():
@@ -219,7 +232,7 @@ class Program:
 
     def _index_call_sites(self) -> None:
         for module in self.modules.values():
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 caller = self.enclosing_function_info(module, node)
@@ -231,19 +244,14 @@ class Program:
 
     # -- resolution ------------------------------------------------------
 
-    def module_name(self, module: ModuleInfo) -> str:
-        """The dotted name this program loaded the module under."""
-        return self._names_by_module.get(id(module), "")
-
     def resolve(self, module: ModuleInfo, node: ast.AST) -> Optional[str]:
         """``resolve_dotted`` plus the generic ``import x as y`` table."""
         dotted = module.resolve_dotted(node)
         if dotted is None:
             return None
-        aliases = self._import_aliases.get(id(module), {})
         head, sep, rest = dotted.partition(".")
-        if head in aliases:
-            dotted = aliases[head] + (f".{rest}" if sep else "")
+        if head in module.module_aliases:
+            dotted = module.module_aliases[head] + (f".{rest}" if sep else "")
         return dotted
 
     def canonicalize(self, dotted: Optional[str]) -> Optional[str]:
@@ -290,7 +298,7 @@ class Program:
             and caller is not None
             and caller.class_name is not None
         ):
-            mod_name = self.module_name(module)
+            mod_name = module.name
             candidate = f"{mod_name}.{caller.class_name}.{func.attr}"
             if candidate in self.functions:
                 return candidate
@@ -300,7 +308,7 @@ class Program:
         canonical = self.canonicalize(dotted)
         if canonical not in self.functions and canonical not in self.classes:
             # A bare local name: qualify against the defining module.
-            local = f"{self.module_name(module)}.{dotted}"
+            local = f"{module.name}.{dotted}"
             if local in self.functions or local in self.classes:
                 return local
         return canonical
@@ -317,10 +325,6 @@ class Program:
                     return info
         return None
 
-    def function_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        """The FunctionInfo indexed for a specific def node, if any."""
-        return self._info_by_node.get(id(node))
-
     # -- call graph ------------------------------------------------------
 
     def callees_of(self, qualname: str) -> Set[str]:
@@ -331,7 +335,7 @@ class Program:
         info = self.functions.get(qualname)
         callees: Set[str] = set()
         if info is not None:
-            for node in walk_function_body(info.node):
+            for node in info.body_nodes:
                 if isinstance(node, ast.Call):
                     target = self.resolve_callee(info.module, node, info)
                     if target in self.functions:

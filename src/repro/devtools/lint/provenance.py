@@ -27,20 +27,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.program import FunctionInfo, Program
 from repro.devtools.lint.rules import (
     _CLOCK_CALLS,
     _MODERN_NUMPY_RANDOM,
     _SEED_COERCERS,
     RNG_HELPER_MODULE_SUFFIXES,
     _path_matches,
-)
-from repro.devtools.flow.program import (
-    FunctionInfo,
-    Program,
-    walk_function_body,
 )
 
 TAINT_CLOCK = "wall clock"
@@ -85,6 +81,27 @@ class _Summary:
 class ProvenancePass:
     """Run both provenance checks over a loaded :class:`Program`."""
 
+    rules = (
+        {
+            "code": "RPL101",
+            "name": "unsanctioned-rng-construction",
+            "summary": (
+                "modern numpy RNG constructors (default_rng, Generator, "
+                "SeedSequence, bit generators) called outside "
+                "repro.stats.rng; Generator provenance must reach the "
+                "central coercers"
+            ),
+        },
+        {
+            "code": "RPL102",
+            "name": "nondeterministic-seed-flow",
+            "summary": (
+                "wall-clock or builtin-hash value reaches a seed sink "
+                "through any chain of assignments, returns, and calls"
+            ),
+        },
+    )
+
     def __init__(self, program: Program) -> None:
         self.program = program
         self.summaries: Dict[str, _Summary] = {
@@ -108,7 +125,7 @@ class ProvenancePass:
         for module in self.program.modules.values():
             if _path_matches(module.path, RNG_HELPER_MODULE_SUFFIXES):
                 continue
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 dotted = self.program.resolve(module, node.func)
@@ -208,7 +225,7 @@ class ProvenancePass:
         statements = sorted(
             (
                 node
-                for node in walk_function_body(info.node)
+                for node in info.body_nodes
                 if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
                 and node.value is not None
             ),
@@ -263,7 +280,7 @@ class ProvenancePass:
 
     def _sink_arguments(self, info: FunctionInfo):
         """Yield ``(expression, sink description)`` for every seed sink."""
-        for node in walk_function_body(info.node):
+        for node in info.body_nodes:
             if isinstance(node, ast.Call):
                 dotted = self.program.resolve(info.module, node.func) or ""
                 callee = self.program.resolve_callee(info.module, node, info)
@@ -331,8 +348,3 @@ class ProvenancePass:
                     )
                 )
         return findings
-
-
-def run_provenance(program: Program) -> List[Finding]:
-    """Convenience wrapper used by the CLI."""
-    return ProvenancePass(program).run()

@@ -1,6 +1,6 @@
 """Purity pass: static verification of ``@pure`` kernel contracts.
 
-A kernel decorated with :func:`repro.devtools.flow.pure` promises it is
+A kernel decorated with :func:`repro.contracts.pure` promises it is
 deterministic and side-effect-free *modulo its arguments*: the only
 mutable state it touches is what it allocates itself, plus draws from a
 ``numpy.random.Generator`` passed explicitly as a parameter.  This pass
@@ -30,21 +30,14 @@ silently passing: a purity contract nobody can trust is worse than none.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.program import FunctionInfo, Program
 from repro.devtools.lint.rules import _CLOCK_CALLS
-from repro.devtools.flow.program import (
-    FunctionInfo,
-    Program,
-    walk_function_body,
-)
 
 #: Decorator spellings that mark a contracted kernel.
-_PURE_DECORATORS = (
-    "repro.devtools.flow.pure",
-    "repro.devtools.flow.contracts.pure",
-)
+_PURE_DECORATORS = ("repro.contracts.pure",)
 
 #: numpy calls that return *views* of their input; results are not owned.
 _NUMPY_VIEWS = frozenset(
@@ -227,6 +220,35 @@ def _decorated_pure(program: Program, info: FunctionInfo) -> bool:
 class PurityPass:
     """Verify every contracted kernel in a loaded :class:`Program`."""
 
+    rules = (
+        {
+            "code": "RPL120",
+            "name": "pure-kernel-writes-shared-state",
+            "summary": (
+                "@pure kernel writes globals/closures/self/arguments or "
+                "through values it does not own"
+            ),
+        },
+        {
+            "code": "RPL121",
+            "name": "pure-kernel-does-io",
+            "summary": "@pure kernel performs I/O",
+        },
+        {
+            "code": "RPL122",
+            "name": "pure-kernel-reads-clock",
+            "summary": "@pure kernel reads the wall clock",
+        },
+        {
+            "code": "RPL123",
+            "name": "pure-kernel-unverified-callee",
+            "summary": (
+                "@pure kernel calls something the analyzer cannot verify; "
+                "callees must be @pure or allowlisted numpy/builtin ops"
+            ),
+        },
+    )
+
     def __init__(self, program: Program) -> None:
         self.program = program
         self.contracted: Set[str] = {
@@ -246,7 +268,7 @@ class PurityPass:
     def _verify(self, info: FunctionInfo) -> None:
         owned = self._owned_names(info)
         rng_params = self._rng_params(info)
-        for node in walk_function_body(info.node):
+        for node in info.body_nodes:
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 names = ", ".join(node.names)
                 self._report(
@@ -282,7 +304,7 @@ class PurityPass:
     def _owned_names(self, info: FunctionInfo) -> Set[str]:
         """Locals whose every binding is a fresh allocation."""
         assignments: List[Tuple[List[str], ast.AST]] = []
-        for node in walk_function_body(info.node):
+        for node in info.body_nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 value = node.value
                 if value is None:
@@ -538,8 +560,3 @@ class PurityPass:
                 col=getattr(node, "col_offset", info.node.col_offset),
             )
         )
-
-
-def run_purity(program: Program) -> List[Finding]:
-    """Convenience wrapper used by the CLI."""
-    return PurityPass(program).run()

@@ -341,7 +341,7 @@ class GeneratorAcrossProcessRule(Rule):
         Container displays and constructor-style calls (a capitalized
         callable, i.e. a dataclass/class) propagate their rng contents to
         the assigned name; a plain function call does not -- ``simulate
-        (rng)`` returns results, not the Generator.  The flow analyzer
+        (rng)`` returns results, not the Generator.  The escape pass
         (RPL110) handles those interprocedural cases.
         """
         if self._is_rng_value(value):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.devtools.flow import pure
+from repro.contracts import pure
 from repro.stats.rng import SeedLike, make_rng
 
 

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.devtools.flow import pure
+from repro.contracts import pure
 from repro.obs.metrics import get_registry
 from repro.store.chunks import ApkLog, CommentLog, SnapshotChunk
 from repro.store.dictionary import StringInterner, TupleInterner
@@ -266,10 +266,6 @@ class ColumnarStore:
         present = {day for (s, day) in self._chunks if s == store}
         present.update(day for (s, day) in self._buffers if s == store)
         return sorted(present)
-
-    def has_chunk(self, store: str, day: int) -> bool:
-        """Whether any snapshot rows exist for (store, day)."""
-        return (store, day) in self._chunks or (store, day) in self._buffers
 
     def chunk(self, store: str, day: int) -> Optional[SnapshotChunk]:
         """The sealed chunk of (store, day), sealing buffers on demand."""

@@ -1,10 +1,10 @@
-"""Fixture-driven tests of the whole-program flow analyzer.
+"""Fixture-driven tests of the whole-program passes of ``repro lint``.
 
-The acceptance bar for the analyzer is that each pass catches a
-cross-module violation the per-file RPL rules *provably* miss: every
-acceptance fixture below is asserted clean under ``lint_source`` before
-being asserted flagged by ``repro flow``.  The shipped-tree gate at the
-bottom pins ``src/repro`` at zero findings.
+The acceptance bar for the passes is that each catches a cross-module
+violation the per-module RPL rules *provably* miss: every acceptance
+fixture below is asserted clean under ``lint_source`` before being
+asserted flagged by ``analyze_paths``.  The shipped-tree tests at the
+bottom read the session's one analysis of the tree.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.devtools.flow.cli import analyze_paths
-from repro.devtools.flow.program import Program, module_name_for
-from repro.devtools.lint import lint_source
-from repro.devtools.lint.findings import Finding
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SRC_REPRO = REPO_ROOT / "src" / "repro"
+from repro.devtools.lint import analyze_paths, lint_source
+from repro.devtools.lint.program import Program, module_name_for
 
 
 def write_package(root: Path, files: Dict[str, str]) -> Path:
@@ -76,11 +71,34 @@ def test_call_graph_links_cross_module_calls(tmp_path: Path) -> None:
     assert [site.caller.qualname for site in sites] == ["pkg.client.run"]
 
 
-def test_parse_error_becomes_rpl100(tmp_path: Path) -> None:
+def test_parse_error_becomes_rpl000(tmp_path: Path) -> None:
     pkg = write_package(tmp_path, {"broken.py": "def f(:\n"})
     findings, modules = analyze_paths([str(pkg)])
-    assert [finding.code for finding in findings] == ["RPL100"]
+    assert [finding.code for finding in findings] == ["RPL000"]
     assert modules == 2  # __init__ plus the broken file
+
+
+def test_colliding_module_names_are_all_analyzed(tmp_path: Path) -> None:
+    """Two non-package files with one stem are both loaded and counted,
+    and the findings do not depend on the order the paths are given in."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "a" / "util.py").write_text(
+        "import time\n"
+        "\n"
+        "import numpy as np\n"
+        "\n"
+        "def stream():\n"
+        "    return np.random.default_rng(int(time.time()))\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b" / "util.py").write_text("X = 1\n", encoding="utf-8")
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    forward, forward_files = analyze_paths([a, b])
+    backward, backward_files = analyze_paths([b, a])
+    assert forward_files == backward_files == 2
+    assert forward == backward
+    assert {finding.code for finding in forward} >= {"RPL101"}
 
 
 # -- provenance (RPL101/RPL102) -------------------------------------------
@@ -289,7 +307,7 @@ IMPURE_KERNEL = {
         "\n"
         "import numpy as np\n"
         "\n"
-        "from repro.devtools.flow import pure\n"
+        "from repro.contracts import pure\n"
         "\n"
         "@pure\n"
         "def bad_kernel(values, out):\n"
@@ -317,7 +335,7 @@ def test_honest_kernel_verifies_clean(tmp_path: Path) -> None:
             "kernels.py": (
                 "import numpy as np\n"
                 "\n"
-                "from repro.devtools.flow import pure\n"
+                "from repro.contracts import pure\n"
                 "\n"
                 "@pure\n"
                 "def good_kernel(values, rng):\n"
@@ -337,7 +355,7 @@ def test_uncontracted_callee_fails_closed(tmp_path: Path) -> None:
         tmp_path,
         {
             "kernels.py": (
-                "from repro.devtools.flow import pure\n"
+                "from repro.contracts import pure\n"
                 "\n"
                 "def helper(values):\n"
                 "    return values\n"
@@ -358,7 +376,7 @@ def test_pure_callee_chain_is_allowed(tmp_path: Path) -> None:
         tmp_path,
         {
             "kernels.py": (
-                "from repro.devtools.flow import pure\n"
+                "from repro.contracts import pure\n"
                 "\n"
                 "@pure\n"
                 "def helper(values):\n"
@@ -378,7 +396,7 @@ def test_augmenting_a_parameter_is_a_write(tmp_path: Path) -> None:
         tmp_path,
         {
             "kernels.py": (
-                "from repro.devtools.flow import pure\n"
+                "from repro.contracts import pure\n"
                 "\n"
                 "@pure\n"
                 "def kernel(values):\n"
@@ -410,7 +428,7 @@ def test_noqa_suppresses_flow_findings(tmp_path: Path) -> None:
 
 
 def test_pure_decorator_is_zero_cost() -> None:
-    from repro.devtools.flow import is_pure, pure
+    from repro.contracts import is_pure, pure
 
     def kernel(x):
         return x
@@ -421,31 +439,29 @@ def test_pure_decorator_is_zero_cost() -> None:
     assert not is_pure(lambda x: x)
 
 
-# -- the shipped-tree gate ------------------------------------------------
+# -- the shipped tree -----------------------------------------------------
 
 
-def test_shipped_tree_has_zero_flow_findings(capsys: pytest.CaptureFixture) -> None:
-    """`repro flow src/repro` analyzes the whole tree in one invocation
-    and must be clean: one Program, three passes, zero findings."""
-    findings, modules = analyze_paths([str(SRC_REPRO)])
-    assert findings == [], [finding.render() for finding in findings]
-    assert modules > 80  # genuinely whole-program, not a subset
+def test_shipped_tree_has_zero_flow_findings(shipped_tree) -> None:
+    """One Program per gate, every pass over it, zero RPL1xx findings."""
+    for gate in shipped_tree:
+        flow = [f.render() for f in gate.findings if f.code >= "RPL100"]
+        assert flow == [], gate.argv
+    assert len(shipped_tree[0].program.modules) > 80  # genuinely whole-program
 
 
-def test_repro_cli_exposes_flow_subcommand(capsys: pytest.CaptureFixture) -> None:
+def test_repro_cli_has_no_flow_subcommand(capsys: pytest.CaptureFixture) -> None:
     from repro.cli import main as repro_main
 
-    exit_code = repro_main(["flow", "--list-rules"])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "RPL110" in captured.out
+    with pytest.raises(SystemExit):
+        repro_main(["flow", "--list-rules"])
+    assert "invalid choice: 'flow'" in capsys.readouterr().err
 
 
-def test_shipped_tree_has_contracted_kernels() -> None:
+def test_shipped_tree_has_contracted_kernels(shipped_tree) -> None:
     """The purity pass is verifying real kernels, not an empty set."""
-    from repro.devtools.flow.purity import PurityPass
+    from repro.devtools.lint.purity import PurityPass
 
-    program = Program.load([str(SRC_REPRO)])
-    contracted = PurityPass(program).contracted
+    contracted = PurityPass(shipped_tree[0].program).contracted
     assert "repro.core.models.AppClusteringParams.cluster_assignment" in contracted
-    assert len(contracted) >= 8
+    assert len(contracted) >= 10

@@ -1,4 +1,5 @@
-"""CLI-level tests for ``repro flow``: formats, filters, baseline mode."""
+"""CLI-level tests of ``repro lint`` on whole-program codes: formats,
+filters, baseline mode."""
 
 from __future__ import annotations
 
@@ -7,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.flow.baseline import (
+from repro.devtools.lint.baseline import (
     apply_baseline,
     load_baseline,
     write_baseline,
 )
-from repro.devtools.flow.cli import FLOW_RULES, main as flow_main
+from repro.devtools.lint.cli import RULE_DESCRIPTORS, main as flow_main
 from repro.devtools.lint.findings import Finding
 
 DIRTY_SOURCE = (
@@ -37,12 +38,12 @@ def test_json_output_on_dirty_file(
     captured = capsys.readouterr()
     assert exit_code == 1
     payload = json.loads(captured.out)
-    assert payload["modules_checked"] == 1
+    assert payload["files_checked"] == 1
     assert payload["baselined"] == 0
     assert [finding["code"] for finding in payload["findings"]] == ["RPL101"]
 
 
-def test_sarif_output_names_the_flow_tool(
+def test_sarif_output_covers_whole_program_codes(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
     dirty = write_dirty(tmp_path)
@@ -51,10 +52,13 @@ def test_sarif_output_names_the_flow_tool(
     assert exit_code == 1
     payload = json.loads(captured.out)
     run = payload["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-flow"
+    assert run["tool"]["driver"]["name"] == "repro-lint"
     assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-        rule["code"] for rule in FLOW_RULES
+        rule["code"] for rule in RULE_DESCRIPTORS
     ]
+    assert {"RPL101", "RPL110", "RPL123"} <= set(
+        r["id"] for r in run["tool"]["driver"]["rules"]
+    )
     assert run["results"][0]["ruleId"] == "RPL101"
 
 
@@ -84,15 +88,16 @@ def test_list_rules_mentions_every_flow_code(
 ) -> None:
     assert flow_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in FLOW_RULES:
-        assert rule["code"] in out
+    for code in ("RPL101", "RPL102", "RPL110", "RPL111", "RPL112", "RPL113",
+                 "RPL120", "RPL121", "RPL122", "RPL123"):
+        assert code in out
 
 
 def test_baseline_roundtrip_gates_only_new_findings(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
     dirty = write_dirty(tmp_path)
-    baseline = tmp_path / "flow-baseline.json"
+    baseline = tmp_path / "lint-baseline.json"
 
     assert flow_main(["--write-baseline", str(baseline), str(dirty)]) == 0
     assert "wrote baseline with 1 findings" in capsys.readouterr().out
@@ -134,5 +139,5 @@ def test_baseline_version_mismatch_is_an_error(
 def test_committed_baseline_is_empty() -> None:
     """The repository ships at zero findings; the baseline must agree."""
     repo_root = Path(__file__).resolve().parents[2]
-    budget = load_baseline(str(repo_root / "flow-baseline.json"))
+    budget = load_baseline(str(repo_root / "lint-baseline.json"))
     assert sum(budget.values()) == 0

@@ -9,24 +9,31 @@ import pytest
 
 from repro.devtools.lint.cli import main as lint_main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SRC_DIR = REPO_ROOT / "src"
+from tests.devtools.conftest import REPO_ROOT
 
 
-def test_shipped_tree_has_zero_findings(capsys: pytest.CaptureFixture) -> None:
-    """The gate the ISSUE asks for: `repro lint src/` must be clean."""
-    exit_code = lint_main([str(SRC_DIR)])
-    captured = capsys.readouterr()
-    assert exit_code == 0, captured.out
-    assert "0 findings" in captured.out
+def test_shipped_tree_has_zero_findings(shipped_tree) -> None:
+    """Every gate `make lint-repro` runs must be clean."""
+    top_dirs = {
+        Path(module.path).relative_to(REPO_ROOT).parts[0]
+        for gate in shipped_tree
+        for module in gate.program.modules.values()
+    }
+    assert top_dirs == {"src", "benchmarks", "examples", "tests"}
+    for gate in shipped_tree:
+        rendered = [finding.render() for finding in gate.findings]
+        assert rendered == [], gate.argv
 
 
-def test_repro_cli_exposes_lint_subcommand(capsys: pytest.CaptureFixture) -> None:
+def test_repro_cli_exposes_lint_subcommand(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
     from repro.cli import main as repro_main
 
-    exit_code = repro_main(["lint", str(SRC_DIR)])
-    captured = capsys.readouterr()
-    assert exit_code == 0, captured.out
+    clean = tmp_path / "clean.py"
+    clean.write_text("VALUE = 1\n")
+    assert repro_main(["lint", str(clean)]) == 0
+    assert "0 findings in 1 files" in capsys.readouterr().out
 
 
 def test_json_output_on_dirty_file(
@@ -131,6 +138,22 @@ def test_changed_respects_path_restriction(
     )
     assert payload["files_checked"] == 1
     assert payload["findings"] == []
+
+
+def test_changed_works_from_a_subdirectory(
+    tmp_path: Path, capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "inside.py").write_text("VALUE = 1\n")
+    _git(tmp_path, "add", ".")
+    _git(tmp_path, "commit", "-qm", "seed")
+    (tmp_path / "sub" / "inside.py").write_text("import random\n")
+    monkeypatch.chdir(tmp_path / "sub")
+
+    payload = json.loads(_json_run(["--format", "json", "--changed", "."], capsys))
+    assert payload["files_checked"] == 1
+    assert [f["code"] for f in payload["findings"]] == ["RPL002"]
 
 
 def test_changed_outside_a_checkout_is_usage_error(

@@ -1,4 +1,4 @@
-"""SARIF serializer tests, shared by ``repro lint`` and ``repro flow``."""
+"""SARIF serializer tests for ``repro lint``."""
 
 from __future__ import annotations
 

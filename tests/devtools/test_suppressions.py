@@ -1,9 +1,9 @@
 """Edge-case tests for the ``# repro: noqa`` suppression parser.
 
-The directive grammar is shared by ``repro lint`` and ``repro flow``
-(both filter through ``_apply_noqa``), so its corner cases -- multi-code
-lists, bare directives, missing reasons, and exact-line placement around
-decorators -- are pinned here once.
+The directive grammar covers every ``repro lint`` code, per-module and
+whole-program alike (all filter through ``_apply_noqa``), so its corner
+cases -- multi-code lists, bare directives, missing reasons, and
+exact-line placement around decorators -- are pinned here once.
 """
 
 from __future__ import annotations
