@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow coverage lint lint-repro lint-ruff lint-mypy bench-smoke bench bench-store-smoke bench-store serve-smoke
+.PHONY: test test-slow coverage lint lint-repro lint-ruff lint-mypy bench-smoke bench bench-store-smoke bench-store serve-smoke paper-fit
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,15 @@ lint-mypy:
 	else \
 		echo "mypy not installed; skipping (pip install -e .[lint])"; \
 	fi
+
+# The paper figures that go through the analytical fitter (Figs 8-10 and
+# the Section 7 forecast), with their shape assertions, over the four
+# scaled benchmark stores.  Timing is off: this is a correctness gate.
+paper-fit:
+	$(PYTHON) -m pytest benchmarks/bench_fig08_model_fit.py \
+		benchmarks/bench_fig09_model_distance.py \
+		benchmarks/bench_fig10_user_sweep.py \
+		benchmarks/bench_forecast.py -q --benchmark-disable
 
 # Quick perf regression check: small sizes, asserts the batched engine
 # beats the legacy per-event path for all three models.

@@ -15,7 +15,7 @@ small minority.
 import numpy as np
 from conftest import emit
 
-from repro.core.prediction import find_problematic_apps, forecast_downloads
+from repro.core.prediction import flag_problematic_apps, forecast_downloads
 from repro.reporting.tables import render_table
 
 STORES = ("appchina", "anzhi", "1mobile")
@@ -29,7 +29,7 @@ def run_forecasts(database):
             float
         )
         distance = forecast.evaluate(observed[observed > 0])
-        problematic = find_problematic_apps(database, store)
+        problematic = flag_problematic_apps(database, forecast)
         n_apps = observed[observed > 0].size
         results.append(
             (

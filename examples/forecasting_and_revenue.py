@@ -19,7 +19,7 @@ import argparse
 from repro import demo_profile, run_crawl_campaign
 from repro.analysis.affinity_study import affinity_study
 from repro.analysis.spam import detect_spam_users
-from repro.core.prediction import find_problematic_apps, forecast_downloads
+from repro.core.prediction import flag_problematic_apps, forecast_downloads
 from repro.reporting.tables import render_table
 
 
@@ -69,7 +69,7 @@ def main() -> None:
         f"{forecast.predicted_total():,.0f} vs realized "
         f"{int(observed.sum()):,} (Eq. 6 distance {distance:.3f})"
     )
-    problematic = find_problematic_apps(database, store)
+    problematic = flag_problematic_apps(database, forecast)
     print(f"   {len(problematic)} apps flagged as growing far below "
           f"their rank's expectation (candidates for recommendation help):")
     for app in problematic[:5]:

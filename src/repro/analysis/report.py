@@ -146,7 +146,7 @@ def full_report(
         sections.append("(skipped: the store has no paid apps)")
 
     # --- forecast (Section 7 implication) -----------------------------------
-    from repro.core.prediction import find_problematic_apps, forecast_downloads
+    from repro.core.prediction import flag_problematic_apps, forecast_downloads
 
     sections.append(_heading("Forecast (Section 7 implication)"))
     try:
@@ -159,7 +159,7 @@ def full_report(
             f"vs realized {int(observed.sum()):,} (Eq. 6 distance "
             f"{distance:.3f})"
         )
-        problematic = find_problematic_apps(database, store)
+        problematic = flag_problematic_apps(database, forecast)
         sections.append(
             f"{len(problematic)} apps growing far below their rank's "
             f"expectation"

@@ -346,7 +346,7 @@ def _add_forecast_parser(subparsers) -> None:
 
 
 def _run_forecast(args) -> int:
-    from repro.core.prediction import find_problematic_apps, forecast_downloads
+    from repro.core.prediction import flag_problematic_apps, forecast_downloads
 
     database = SnapshotDatabase.load(args.db)
     forecast = forecast_downloads(database, args.store)
@@ -358,7 +358,7 @@ def _run_forecast(args) -> int:
         f"{int(observed.sum()):,} (Eq. 6 distance {distance:.3f}; fit "
         f"{forecast.fit.describe()})"
     )
-    problematic = find_problematic_apps(database, args.store)
+    problematic = flag_problematic_apps(database, forecast)
     print(f"{len(problematic)} apps growing far below their rank's expectation")
     for app in problematic[: args.top]:
         print(

@@ -15,6 +15,13 @@ fits against the analytical expectation curves (Equation 5 and its ZIPF /
 ZIPF-at-most-once specializations) by default and optionally re-simulates
 the winner for the final report, which is how the benchmarks regenerate
 Figures 8-10 quickly.
+
+The APP-CLUSTERING grid is evaluated one ``zr`` at a time: each block's
+``len(zc_grid) * len(p_grid)`` corrected curves come from one call to
+:func:`~repro.core.analytical.expected_download_curves_corrected`, which
+runs every cluster of every ``(zc, p)`` point through the stacked
+characteristic-time solver.  Blocking by ``zr`` bounds what is held at
+once to one block's curves; stacking the whole grid would hold them all.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.analytical import (
-    expected_download_curve_corrected,
+    expected_download_curves_corrected,
     expected_zipf,
     expected_zipf_at_most_once,
 )
@@ -141,23 +148,23 @@ def fit_model(
             if best is None or distance < best.distance:
                 best = FitResult(kind=kind, distance=distance, zr=zr, predicted=predicted)
     elif kind == ModelKind.APP_CLUSTERING:
-        for zr, zc, p in itertools.product(zr_grid, zc_grid, p_grid):
+        zc_grid, p_grid = tuple(zc_grid), tuple(p_grid)
+        for zr in zr_grid:
             params = AppClusteringParams(
                 n_apps=n_apps,
                 n_users=n_users,
                 total_downloads=total_downloads,
                 zr=zr,
-                zc=zc,
-                p=p,
                 n_clusters=n_clusters,
             )
-            predicted = expected_download_curve_corrected(params)
-            predicted = np.sort(predicted)[::-1]
-            distance = mean_relative_error(observed, predicted)
-            if best is None or distance < best.distance:
-                best = FitResult(
-                    kind=kind, distance=distance, zr=zr, zc=zc, p=p, predicted=predicted
-                )
+            curves = expected_download_curves_corrected(params, zc_grid, p_grid)
+            curves = np.sort(curves, axis=1)[:, ::-1]
+            for (zc, p), predicted in zip(itertools.product(zc_grid, p_grid), curves):
+                distance = mean_relative_error(observed, predicted)
+                if best is None or distance < best.distance:
+                    best = FitResult(
+                        kind=kind, distance=distance, zr=zr, zc=zc, p=p, predicted=predicted
+                    )
     else:
         raise ValueError(f"unknown model kind: {kind!r}")
     assert best is not None  # grids are non-empty

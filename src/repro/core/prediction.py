@@ -169,6 +169,36 @@ def find_problematic_apps(
 ) -> List[ProblematicApp]:
     """Apps whose growth trails the model's expectation for their rank.
 
+    Fits the forecast from ``first_day`` to ``last_day`` (the first and
+    last crawled days by default) and flags apps against it with
+    :func:`flag_problematic_apps`.
+    """
+    days = database.days(store)
+    if len(days) < 2:
+        raise ValueError(f"store {store!r} needs at least two crawled days")
+    forecast = forecast_downloads(
+        database,
+        store,
+        reference_day=days[0] if first_day is None else first_day,
+        target_day=days[-1] if last_day is None else last_day,
+        n_clusters=n_clusters,
+    )
+    return flag_problematic_apps(
+        database,
+        forecast,
+        shortfall_factor=shortfall_factor,
+        min_expected_growth=min_expected_growth,
+    )
+
+
+def flag_problematic_apps(
+    database: SnapshotDatabase,
+    forecast: DownloadForecast,
+    shortfall_factor: float = 4.0,
+    min_expected_growth: float = 5.0,
+) -> List[ProblematicApp]:
+    """Apps growing far below ``forecast`` over its reference-to-target window.
+
     An app is *problematic* when its observed download growth over the
     window is more than ``shortfall_factor`` times below the growth the
     fitted model predicts for its popularity rank (and that prediction
@@ -178,27 +208,14 @@ def find_problematic_apps(
     """
     if shortfall_factor <= 1.0:
         raise ValueError("shortfall_factor must exceed 1")
-    days = database.days(store)
-    if len(days) < 2:
-        raise ValueError(f"store {store!r} needs at least two crawled days")
-    first_day = days[0] if first_day is None else first_day
-    last_day = days[-1] if last_day is None else last_day
-
-    forecast = forecast_downloads(
-        database,
-        store,
-        reference_day=first_day,
-        target_day=last_day,
-        n_clusters=n_clusters,
-    )
-
+    store = forecast.store
     start = {
         s.app_id: s.total_downloads
-        for s in database.snapshots_on(store, first_day)
+        for s in database.snapshots_on(store, forecast.reference_day)
     }
     end = {
         s.app_id: s.total_downloads
-        for s in database.snapshots_on(store, last_day)
+        for s in database.snapshots_on(store, forecast.target_day)
     }
     # Rank apps by their reference-day downloads to map onto the curve.
     ranked_apps = sorted(start, key=lambda app_id: start[app_id], reverse=True)

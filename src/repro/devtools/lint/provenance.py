@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.program import FunctionInfo, Program
@@ -108,6 +108,13 @@ class ProvenancePass:
             qualname: _Summary() for qualname in program.functions
         }
         self._env_cache: Dict[str, Dict[str, Taint]] = {}
+        # What does not change between fixpoint rounds is computed once:
+        # each call's (dotted name, callee qualname), and per function its
+        # assignments (value, target names) in source order and its
+        # candidate sink nodes in body order.
+        self._call_cache: Dict[ast.Call, Tuple[Optional[str], Optional[str]]] = {}
+        self._assignments: Dict[str, List[Tuple[ast.AST, List[str]]]] = {}
+        self._sink_candidates: Dict[str, List[ast.AST]] = {}
 
     # -- entry point -----------------------------------------------------
 
@@ -188,8 +195,21 @@ class ProvenancePass:
             params |= sub_params
         return (taints, params)
 
+    def _resolve_call(
+        self, info: FunctionInfo, node: ast.Call
+    ) -> Tuple[Optional[str], Optional[str]]:
+        """``(dotted name, in-program callee)`` of a call in ``info``'s body."""
+        resolved = self._call_cache.get(node)
+        if resolved is None:
+            resolved = (
+                self.program.resolve(info.module, node.func),
+                self.program.resolve_callee(info.module, node, info),
+            )
+            self._call_cache[node] = resolved
+        return resolved
+
     def _call_taint(self, info: FunctionInfo, node: ast.Call, env) -> Taint:
-        dotted = self.program.resolve(info.module, node.func)
+        dotted, callee = self._resolve_call(info, node)
         if dotted in _CLOCK_CALLS:
             return ({TAINT_CLOCK}, set())
         if (
@@ -201,7 +221,6 @@ class ProvenancePass:
         if dotted in _WRAPPER_CALLS:
             operands = list(node.args) + [kw.value for kw in node.keywords]
             return self._union(info, operands, env)
-        callee = self.program.resolve_callee(info.module, node, info)
         if callee is not None and callee in self.summaries:
             summary = self.summaries[callee]
             taints = set(summary.returns_taints)
@@ -217,33 +236,47 @@ class ProvenancePass:
             return (taints, params)
         return _empty()
 
+    def _assignments_of(self, info: FunctionInfo) -> List[Tuple[ast.AST, List[str]]]:
+        """``(value, target names)`` of ``info``'s assignments, in source order."""
+        assignments = self._assignments.get(info.qualname)
+        if assignments is None:
+            statements = sorted(
+                (
+                    node
+                    for node in info.body_nodes
+                    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                    and node.value is not None
+                ),
+                key=lambda node: (node.lineno, node.col_offset),
+            )
+            assignments = []
+            for stmt in statements:
+                targets = (
+                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                )
+                names = [
+                    name.id
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+                assignments.append((stmt.value, names))
+            self._assignments[info.qualname] = assignments
+        return assignments
+
     def _local_env(self, info: FunctionInfo) -> Dict[str, Taint]:
         """Name -> taint for one function's locals (weak/union updates)."""
         cached = self._env_cache.get(info.qualname)
         if cached is not None:
             return cached
-        statements = sorted(
-            (
-                node
-                for node in info.body_nodes
-                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-                and node.value is not None
-            ),
-            key=lambda node: (node.lineno, node.col_offset),
-        )
         env: Dict[str, Taint] = {}
         # Two ordered rounds pick up loop-carried taint.
         for _ in range(2):
-            for stmt in statements:
-                taints, params = self._expr_taint(info, stmt.value, env)
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                for target in targets:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name):
-                            old = env.get(name.id, _empty())
-                            env[name.id] = (old[0] | taints, old[1] | params)
+            for value, names in self._assignments_of(info):
+                taints, params = self._expr_taint(info, value, env)
+                for name in names:
+                    old = env.get(name, _empty())
+                    env[name] = (old[0] | taints, old[1] | params)
         self._env_cache[info.qualname] = env
         return env
 
@@ -280,10 +313,18 @@ class ProvenancePass:
 
     def _sink_arguments(self, info: FunctionInfo):
         """Yield ``(expression, sink description)`` for every seed sink."""
-        for node in info.body_nodes:
+        candidates = self._sink_candidates.get(info.qualname)
+        if candidates is None:
+            candidates = [
+                node
+                for node in info.body_nodes
+                if isinstance(node, (ast.Call, ast.Assign, ast.AnnAssign))
+            ]
+            self._sink_candidates[info.qualname] = candidates
+        for node in candidates:
             if isinstance(node, ast.Call):
-                dotted = self.program.resolve(info.module, node.func) or ""
-                callee = self.program.resolve_callee(info.module, node, info)
+                dotted, callee = self._resolve_call(info, node)
+                dotted = dotted or ""
                 is_coercer = (
                     dotted.rsplit(".", 1)[-1] in _SEED_COERCERS
                     or dotted in _NUMPY_SEED_SINKS

@@ -32,12 +32,7 @@ from repro.obs.metrics import get_registry
 from repro.store.chunks import ApkLog, CommentLog, SnapshotChunk
 from repro.store.columnar import ColumnarStore
 from repro.store.dictionary import StringInterner, TupleInterner
-from repro.store.schema import (
-    APK_COLUMNS,
-    COMMENT_COLUMNS,
-    FORMAT_VERSION,
-    SNAPSHOT_COLUMNS,
-)
+from repro.store.schema import FORMAT_VERSION, SNAPSHOT_COLUMNS
 
 __all__ = ["bytes_on_disk", "is_packed_dataset", "open_store", "pack_store"]
 

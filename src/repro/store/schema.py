@@ -10,7 +10,7 @@ columns; the actual strings live in the intern tables
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.prediction import (
     DownloadForecast,
     find_problematic_apps,
+    flag_problematic_apps,
     forecast_downloads,
 )
 
@@ -78,6 +79,16 @@ class TestProblematicApps:
         )
         shortfalls = [app.shortfall for app in apps]
         assert shortfalls == sorted(shortfalls, reverse=True)
+
+    def test_flagging_a_forecast_matches_the_one_call_form(self, demo_campaign):
+        """A report that already has the forecast need not fit it again."""
+        database = demo_campaign.database
+        forecast = forecast_downloads(database, "demo", n_clusters=12)
+        assert flag_problematic_apps(database, forecast) == find_problematic_apps(
+            database, "demo", n_clusters=12
+        )
+        with pytest.raises(ValueError):
+            flag_problematic_apps(database, forecast, shortfall_factor=0.5)
 
     def test_factor_validation(self, demo_campaign):
         with pytest.raises(ValueError):
